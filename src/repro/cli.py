@@ -391,8 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="worker threads draining the cold-compute job queue "
-        "(default 2)",
+        help="cold computes running at once, ?wait=1 requests included; "
+        "also the worker threads draining the job queue (default 2)",
     )
     p_serve.add_argument(
         "--max-queue",

@@ -22,6 +22,7 @@ the perf benchmarks use it to reproduce the seed's flat-timing cost.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 
 from repro.arch.system import Accelerator, AnyFabric
@@ -92,7 +93,7 @@ class KernelTimingCache:
     later binds of the same configuration ends and ``n_configs`` /
     ``n_entries`` no longer account for the detached entries.  Size
     ``max_configs`` to the working set of live configurations (one per
-    concurrently-live ``Optimus``).
+    concurrently-live ``Optimus``).  :meth:`bind` is thread-safe.
     """
 
     def __init__(self, max_configs: int = 64) -> None:
@@ -104,6 +105,7 @@ class KernelTimingCache:
         self._comm: OrderedDict[
             AnyFabric, dict[CommKernel, CommTiming]
         ] = OrderedDict()
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
@@ -115,14 +117,15 @@ class KernelTimingCache:
         return BoundTimings(self, accelerator, compute, comm)
 
     def _sub(self, table: OrderedDict, key) -> dict:
-        entry = table.get(key)
-        if entry is None:
-            entry = table[key] = {}
-        else:
-            table.move_to_end(key)
-        while len(table) > self.max_configs:
-            table.popitem(last=False)
-        return entry
+        with self._lock:
+            entry = table.get(key)
+            if entry is None:
+                entry = table[key] = {}
+            else:
+                table.move_to_end(key)
+            while len(table) > self.max_configs:
+                table.popitem(last=False)
+            return entry
 
     # -- direct lookups ----------------------------------------------------
     def time_compute(
@@ -152,10 +155,11 @@ class KernelTimingCache:
 
     def clear(self) -> None:
         """Drop all memoized timings and reset counters."""
-        self._compute.clear()
-        self._comm.clear()
-        self.hits = 0
-        self.misses = 0
+        with self._lock:
+            self._compute.clear()
+            self._comm.clear()
+            self.hits = 0
+            self.misses = 0
 
 
 class NullTimingCache(KernelTimingCache):

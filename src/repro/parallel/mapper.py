@@ -15,6 +15,7 @@ per-device kernel lists the Optimus evaluator times:
 from __future__ import annotations
 
 import dataclasses
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -410,7 +411,8 @@ class MappingCache:
     capacity checks (``fits_memory``) still see the live system.
 
     Hit/miss counters expose the dedup for tests and diagnostics.  The cache
-    is bounded LRU (``max_entries`` distinct mapping keys).
+    is bounded LRU (``max_entries`` distinct mapping keys) and thread-safe;
+    a mapping is built outside its lock.
     """
 
     def __init__(self, max_entries: int = 128) -> None:
@@ -421,20 +423,23 @@ class MappingCache:
         self._entries: "OrderedDict[tuple, MappedTraining | MappedInference]" = (
             OrderedDict()
         )
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
     def _lookup(self, key: tuple, build: Callable[[], "MappedTraining | MappedInference"]):
-        entry = self._entries.get(key)
-        if entry is None:
-            entry = build()
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                self.hits += 1
+                return entry
+        entry = build()
+        with self._lock:
             self._entries[key] = entry
             self.misses += 1
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
-        else:
-            self._entries.move_to_end(key)
-            self.hits += 1
         return entry
 
     def map_training(
@@ -519,9 +524,10 @@ class MappingCache:
 
     def clear(self) -> None:
         """Drop all cached mappings and reset counters."""
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
+        with self._lock:
+            self._entries.clear()
+            self.hits = 0
+            self.misses = 0
 
 
 #: Process-wide default shared by the scenario runner (and thus every sweep

@@ -175,7 +175,6 @@ def run_many(
     store: "ResultStore | str | Path | None" = None,
     use_cache: bool = True,
     workers: int | None = None,
-    digests: "list[str] | None" = None,
 ) -> BatchResult:
     """Serve a batch of scenarios, compute-once per unique spec.
 
@@ -195,24 +194,12 @@ def run_many(
         ``> 1`` fans *whole scenarios* out over worker processes via the
         sweep driver (grids inside each scenario stay serial per worker);
         falls back to serial exactly like any other sweep.
-    digests:
-        Precomputed content addresses aligned with ``items`` (one per
-        item, the store's schema), so a caller that already digested
-        every spec — the serving daemon's warmness probe — does not pay
-        for hashing each one a second time.  Only valid when every item
-        is already a :class:`Scenario`.
     """
     if isinstance(store, (str, Path)):
         store = ResultStore(store)
     scenarios = [resolve_scenario(item) for item in items]
     schema = store.schema_version if store is not None else SCHEMA_VERSION
-    if digests is None:
-        digests = [scenario_digest(scenario, schema) for scenario in scenarios]
-    elif len(digests) != len(scenarios):
-        raise ConfigError(
-            f"digests must align with items: got {len(digests)} digests "
-            f"for {len(scenarios)} scenarios"
-        )
+    digests = [scenario_digest(scenario, schema) for scenario in scenarios]
     caching = store is not None and use_cache
     persisting = caching and store.writable
 

@@ -1,10 +1,10 @@
 """Digest-cached scenario serving daemon (``python -m repro serve``).
 
 The HTTP/IPC front-end over the content-addressed result store and the
-batch runner: ``GET /scenarios`` lists the registry, ``POST /run``
-executes named scenarios, inline specs or whole batches through
-:func:`~repro.scenarios.batch.run_many`, and warm results are served
-straight from the :class:`~repro.scenarios.store.ResultStore` as pure
+job engine: ``GET /scenarios`` lists the registry, ``POST /run``
+executes named scenarios, inline specs or whole batches as
+digest-coalesced jobs (:mod:`~repro.serving.jobs`), and warm results are
+served straight from the :class:`~repro.scenarios.store.ResultStore` as pure
 file reads with the spec digest as the ``ETag`` (``If-None-Match`` ⇒
 ``304``).  Routing lives in :mod:`~repro.serving.app` (socket-free,
 fuzz-tested); the stdlib ``ThreadingHTTPServer`` adapter in

@@ -20,8 +20,8 @@ Routes (responses are JSON unless noted)::
                                   name-or-spec}) or a batch
                                   ({"scenarios": [...]}); cold digests are
                                   enqueued as jobs and answered 202 unless
-                                  ``?wait=1`` / ``Prefer: wait`` asks for
-                                  the synchronous compute
+                                  ``?wait=1`` / ``Prefer: wait`` asks to
+                                  wait for the job's result
     GET  /jobs                    in-flight + recent terminal jobs
     GET  /jobs/<digest>           one job: queued|running|done|failed with
                                   queue position, timings, provenance
@@ -54,17 +54,17 @@ store is even consulted, a warm digest is served straight from the
 cache dir, hot digests never touch the filesystem at all), and only
 genuine misses enter the compute path.
 
-Cold computes are *jobs*: a miss is enqueued on the app's
-:class:`~repro.serving.jobs.JobManager` (bounded queue, small worker
-pool, duplicate digests coalesced onto one computation) and the request
-is answered ``202 {"digest", "status", "status_url"}`` immediately; the
-client polls ``GET /jobs/<digest>`` until it is redirected (``303``) to
-the stored result.  A full queue answers a structured ``429`` carrying
-``Retry-After``.  ``?wait=1`` (or ``Prefer: wait``) opts back into the
-synchronous compute-in-request behavior — byte-identical to the
-pre-job-engine responses — serialized under one lock so concurrent
-synchronous misses share, not duplicate, the process-wide mapping/timing
-caches.
+Every cold compute is a *job* on the app's
+:class:`~repro.serving.jobs.JobManager`: duplicate digests coalesce onto
+one computation, at most ``--job-workers`` computes run at once, and at
+most ``--max-queue`` jobs wait for a slot — beyond that the request is
+answered a structured ``429`` carrying ``Retry-After``.  By default a
+miss is queued and answered ``202 {"digest", "status", "status_url"}``
+immediately; the client polls ``GET /jobs/<digest>`` until it is
+redirected (``303``) to the stored result.  ``?wait=1`` (or ``Prefer:
+wait``) makes the request wait for the job instead: it joins the
+digest's in-flight job, or runs a new one on its own handler thread when
+a compute slot is free, and answers the ``200`` result body.
 
 Error contract: every failure is a structured JSON body
 ``{"error": <slug>, "detail": <human text>}`` with the right 4xx status —
@@ -72,10 +72,10 @@ malformed JSON is 400, an unknown scenario or digest is 404, an over-size
 body is 413, a wrong method on a known path is 405, an overloaded job
 queue is 429.  A *compute-time* failure is classified by whose spec blew
 up: an inline (client-sent) spec is a 400/``invalid-scenario``, a
-registry (server-owned) spec is a 500/``compute-failed`` on synchronous
-paths and the job's ``failed`` state on the async path.  Unexpected
-exceptions become a 500 with a generic body: no traceback ever leaves
-the process.
+registry (server-owned) spec is a 500/``compute-failed`` for a request
+that waited and the job's ``failed`` state on the async path.
+Unexpected exceptions become a 500 with a generic body: no traceback
+ever leaves the process.
 
 Scenario references over the wire are **registry names or inline spec
 dicts only** — unlike the CLI, a request body can not name a server-side
@@ -97,15 +97,20 @@ from typing import Any, Mapping
 from repro.errors import ConfigError
 from repro.scenarios.backends.base import STORE_FORMAT
 from repro.scenarios.backends.http import ENTRY_CONTENT_TYPE
-from repro.scenarios.batch import run_many
 from repro.scenarios.registry import REGISTRY
 from repro.scenarios.spec import Scenario
-from repro.scenarios.store import ResultStore, is_digest, run_cached
+from repro.scenarios.store import (
+    ResultStore,
+    StoredResult,
+    is_digest,
+    run_cached,
+)
 from repro.serving.jobs import (
     DEFAULT_JOB_WORKERS,
     DEFAULT_MAX_QUEUE,
     DEFAULT_RETENTION,
     DONE,
+    JobFailedError,
     JobManager,
     QueueFullError,
 )
@@ -277,28 +282,23 @@ class ServingApp:
             if sweep.FANOUT_START_METHOD is None:
                 sweep.FANOUT_START_METHOD = "forkserver"
         self.stats = ServeStats()
-        #: Synchronous (``?wait=1``) cold computes are serialized:
-        #: concurrent misses queue here and re-check the store, so N
-        #: identical sync cold requests compute once while warm traffic
-        #: streams past lock-free.  Async cold computes go through the
-        #: job engine instead.
-        self._compute_lock = threading.Lock()
         self._stats_lock = threading.Lock()
-        #: The async job engine behind cold ``POST /run`` (202/coalesce/
-        #: 429) and the ``/jobs`` routes.  Worker threads start lazily on
-        #: the first submission.
+        #: The job engine behind every cold ``POST /run`` and the
+        #: ``/jobs`` routes.  ``run_cached`` is looked up at call time, so
+        #: it can be wrapped in place.
         self.jobs = JobManager(
-            self.store,
+            lambda scenario: run_cached(
+                scenario, self.store, workers=self.workers
+            ),
             n_workers=job_workers,
             max_queue=max_queue,
-            fanout_workers=workers,
             retention=job_retention,
             on_terminal=self._job_finished,
         )
 
     def _job_finished(self, job) -> None:
-        """Job-engine terminal hook: keep the server-level serving
-        counters meaningful under async traffic too."""
+        """Job-engine terminal hook: the one place a job's compute is
+        counted, however many requests waited on it."""
         if job.state == DONE:
             self._count("served_from_store" if job.from_cache else "computed")
 
@@ -897,21 +897,21 @@ class ServingApp:
         )
 
     @staticmethod
-    def _compute_error(origin: str, exc: ConfigError) -> Response:
-        """Classify a mid-compute ConfigError on a synchronous path.
+    def _job_failure(error: Mapping[str, str], inline: bool) -> Response:
+        """The response to a request that waited on a failed job.
 
-        A request was already accepted by the time the compute ran, so
-        the 400 family only applies when the *client's own inline spec*
+        The 400 family only applies when the *client's own inline spec*
         turned out bad; a registry (server-owned) spec failing is a
         server defect and must be a 5xx, not blamed on the request.
-        Either way the detail is the exception's message — never a
-        traceback.
         """
-        if origin == "inline":
-            return error_response(
-                400, "invalid-scenario", f"spec failed during compute: {exc}"
-            )
-        return error_response(500, "compute-failed", str(exc))
+        slug, detail = error["error"], error["detail"]
+        if slug not in ("invalid-scenario", "compute-failed"):
+            status = 503 if slug == "shutting-down" else 500
+            return error_response(status, slug, detail)
+        if inline:
+            detail = f"spec failed during compute: {detail}"
+            return error_response(400, "invalid-scenario", detail)
+        return error_response(500, "compute-failed", detail)
 
     def _overloaded(self, exc: QueueFullError) -> Response:
         self._count("rejected_jobs")
@@ -936,18 +936,16 @@ class ServingApp:
         if if_none_match_matches(headers.get("if-none-match"), digest):
             return Response(304, None, {"ETag": etag_for(digest)})
         result = self.store.get(resolved)
-        if result is None and wait:
+        if result is not None:
+            self._count("served_from_store")
+        elif wait:
             try:
-                with self._compute_lock:
-                    # Re-checked inside: a request that queued behind the
-                    # identical cold compute is served its freshly stored
-                    # entry.
-                    result = run_cached(
-                        resolved, self.store, workers=self.workers
-                    )
-            except ConfigError as exc:
-                return self._compute_error(origin, exc)
-        if result is None:
+                result = self.jobs.run(resolved, digest, origin=origin)
+            except QueueFullError as exc:
+                return self._overloaded(exc)
+            except JobFailedError as exc:
+                return self._job_failure(exc.error, origin == "inline")
+        else:
             # Cold, asynchronous: enqueue (or coalesce) and answer 202.
             try:
                 snapshot = self.jobs.submit(resolved, digest, origin=origin)
@@ -966,10 +964,6 @@ class ServingApp:
                 },
                 {"Location": f"/jobs/{digest}"},
             )
-        if result.from_cache:
-            self._count("served_from_store")
-        else:
-            self._count("computed")
         return Response(
             200,
             {
@@ -979,11 +973,7 @@ class ServingApp:
                 "provenance": (
                     result.provenance.to_dict() if result.provenance else None
                 ),
-                "artifacts": {
-                    "raw": result.raw,
-                    "text": result.text,
-                    "csv": result.csv,
-                },
+                "artifacts": _artifacts(result),
             },
             {"ETag": etag_for(digest)},
         )
@@ -1008,64 +998,68 @@ class ServingApp:
             resolved.append(scenario)
             origins.append("inline" if isinstance(item, dict) else "registry")
         self._count("runs", len(resolved))
-        # Digest once per item: the warmness probe and the batch runner
-        # share this list instead of each hashing every spec again.
         digests = [self.store.digest(scenario) for scenario in resolved]
-        # An all-warm batch is pure file reads — let it stream past the
-        # compute lock instead of queueing behind someone's cold compute.
-        # The probe is a hint: if an entry turns out corrupt, run_many
-        # recomputes it without the lock (duplicate work in a rare race,
-        # never a wrong answer).
-        warmness = [self.store.contains(digest) for digest in digests]
-        if not wait and not all(warmness):
-            return self._enqueue_batch(resolved, digests, origins, warmness)
-        try:
-            if all(warmness):
-                batch = run_many(
-                    resolved,
-                    store=self.store,
-                    workers=self.workers,
-                    digests=digests,
-                )
+        if not wait:
+            warmness = [self.store.contains(digest) for digest in digests]
+            if not all(warmness):
+                return self._enqueue_batch(resolved, digests, origins, warmness)
+        return self._serve_batch(resolved, digests, origins)
+
+    def _serve_batch(
+        self, resolved: list[Scenario], digests: list[str], origins: list[str]
+    ) -> Response:
+        """Every item's artifacts (``?wait=1``, or all warm): each unique
+        digest is read from the store, or else joined or run as a job —
+        so a warm batch never waits behind anyone's cold compute."""
+        results: dict[str, StoredResult] = {}
+        failures: dict[str, Mapping[str, str]] = {}
+        n_from_store = 0
+        for scenario, digest, origin in zip(resolved, digests, origins):
+            if digest in results or digest in failures:
+                continue
+            result = self.store.get(scenario)
+            if result is not None:
+                n_from_store += 1
             else:
-                with self._compute_lock:
-                    batch = run_many(
-                        resolved,
-                        store=self.store,
-                        workers=self.workers,
-                        digests=digests,
-                    )
-        except ConfigError as exc:
-            # Which spec failed is not recoverable from here; blame the
-            # client only when the batch contained client-sent specs.
-            origin = "inline" if "inline" in origins else "registry"
-            return self._compute_error(origin, exc)
-        self._count("served_from_store", batch.stats.n_from_store)
-        self._count("computed", batch.stats.n_computed)
+                try:
+                    result = self.jobs.run(scenario, digest, origin=origin)
+                except QueueFullError as exc:
+                    return self._overloaded(exc)
+                except JobFailedError as exc:
+                    failures[digest] = exc.error
+                    continue
+            results[digest] = result
+        if failures:
+            # Blame the client only when a failed item was client-sent.
+            inline = any(
+                origin == "inline"
+                for digest, origin in zip(digests, origins)
+                if digest in failures
+            )
+            return self._job_failure(next(iter(failures.values())), inline)
+        self._count("served_from_store", n_from_store)
+        entries = [
+            {
+                "name": scenario.name,
+                "digest": digest,
+                "from_cache": results[digest].from_cache,
+                "deduplicated": digests.index(digest) < i,
+                "artifacts": _artifacts(results[digest]),
+            }
+            for i, (scenario, digest) in enumerate(zip(resolved, digests))
+        ]
+        n_unique = len(results)
         return Response(
             200,
             {
-                "entries": [
-                    {
-                        "name": entry.name,
-                        "digest": entry.digest,
-                        "from_cache": entry.from_cache,
-                        "deduplicated": entry.deduplicated,
-                        "artifacts": {
-                            "raw": entry.result.raw,
-                            "text": entry.result.text,
-                            "csv": entry.result.csv,
-                        },
-                    }
-                    for entry in batch.entries
-                ],
+                "entries": entries,
                 "stats": {
-                    "n_items": batch.stats.n_items,
-                    "n_unique": batch.stats.n_unique,
-                    "n_from_store": batch.stats.n_from_store,
-                    "n_computed": batch.stats.n_computed,
-                    "n_deduplicated": batch.stats.n_deduplicated,
-                    "store_hit_rate": batch.stats.store_hit_rate,
+                    "n_items": len(entries),
+                    "n_unique": n_unique,
+                    "n_from_store": n_from_store,
+                    "n_computed": n_unique - n_from_store,
+                    "n_deduplicated": len(entries) - n_unique,
+                    "store_hit_rate": n_from_store / n_unique,
                 },
             },
         )
@@ -1126,6 +1120,11 @@ class ServingApp:
                 },
             },
         )
+
+
+def _artifacts(result: StoredResult) -> dict[str, Any]:
+    """The ``artifacts`` block of a ``POST /run`` 200 body."""
+    return {"raw": result.raw, "text": result.text, "csv": result.csv}
 
 
 __all__ = [

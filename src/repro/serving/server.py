@@ -9,7 +9,7 @@ sockets).
 
 The server is threaded so warm traffic scales: every worker thread serves
 store hits as pure file reads concurrently, while cold computes are
-serialized by the app's compute lock.  ``HTTP/1.1`` keep-alive is enabled
+bounded by the app's job engine.  ``HTTP/1.1`` keep-alive is enabled
 (every response carries an exact ``Content-Length``); over-size uploads
 are rejected *before* the body is read, and the connection is closed so an
 unread body can never desynchronize the stream.

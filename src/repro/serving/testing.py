@@ -97,7 +97,10 @@ def launch_daemon(
     job-engine worker pool outlives the block.
     """
     server = create_server(**server_kwargs)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll keeps teardown fast: shutdown() waits out one poll.
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
+    )
     thread.start()
     try:
         yield LiveDaemon(server)

@@ -1,4 +1,4 @@
-"""Strategy-optimizer tests plus the legacy sweep helpers' removal."""
+"""Strategy-optimizer tests plus the scenario spelling of a single-axis sweep."""
 
 from __future__ import annotations
 
@@ -12,44 +12,9 @@ from repro.workloads.llm import GPT3_76B
 PAPER = ParallelConfig(8, 8, 1)
 
 
-class TestLegacySweepsRemoved:
-    """`repro.core.sweep` is a tombstone: nothing exported, clear pointers."""
-
-    REMOVED = (
-        "SweepPoint",
-        "sweep_dram_bandwidth",
-        "sweep_dram_latency",
-        "sweep_batch_size",
-    )
-
-    def test_module_exports_nothing(self):
-        import repro.core.sweep as legacy
-
-        assert legacy.__all__ == []
-        public = [
-            name
-            for name in vars(legacy)
-            if not name.startswith("_") and name != "annotations"
-        ]
-        assert public == []
-
-    @pytest.mark.parametrize("name", REMOVED)
-    def test_removed_names_raise_with_migration_pointer(self, name):
-        import repro.core.sweep as legacy
-
-        with pytest.raises(AttributeError, match="repro.scenarios"):
-            getattr(legacy, name)
-        with pytest.raises(ImportError, match=name):
-            exec(f"from repro.core.sweep import {name}")
-
-    def test_unknown_attribute_still_plain_error(self):
-        import repro.core.sweep as legacy
-
-        with pytest.raises(AttributeError, match="no attribute"):
-            legacy.nonsense
-
+class TestScenarioSweep:
     def test_migration_target_still_covers_the_helpers(self, scd_system):
-        """The scenario spelling of the old bandwidth sweep works."""
+        """A one-axis DRAM-bandwidth sweep, spelled as a scenario."""
         from repro.arch.config import SystemConfig
         from repro.scenarios import Scenario
 

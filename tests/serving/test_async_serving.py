@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -80,11 +81,13 @@ class TestAcceptedFlow:
         assert app.jobs.counters.submitted == 1  # no second job
 
     def test_status_for_digest_computed_outside_the_engine(self, app):
-        # A digest computed synchronously never met the job engine, but
-        # /jobs/<digest> still answers "done" from store existence.
-        sync = post_run(app, {"scenario": "table1"}, path="/run?wait=1")
-        assert sync.status == 200
-        digest = sync.body["digest"]
+        # A digest stored by someone else (the CLI, a peer, a previous
+        # daemon life) never met the job engine, but /jobs/<digest> still
+        # answers "done" from store existence.
+        scenario = get("table1")
+        app.store.put(scenario, {"raw": {}, "text": "stored elsewhere"})
+        digest = app.store.digest(scenario)
+        assert app.jobs.describe(digest) is None
         status = app.handle("GET", f"/jobs/{digest}")
         assert status.status == 303
         assert status.body["status"] == "done"
@@ -340,6 +343,159 @@ class TestWaitEscapeHatch:
         assert response.body["stats"]["n_computed"] == 1
         assert response.body["stats"]["n_deduplicated"] == 1
         assert response.body["entries"][0]["artifacts"]["text"]
+
+
+def wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never became true"
+        time.sleep(0.005)
+
+
+class TestWaitRunsAsAJob:
+    """``?wait=1`` goes through the job engine: it coalesces, is bounded
+    by the compute slots and the queue, and wakes on shutdown."""
+
+    def test_wait_coalesces_onto_an_in_flight_async_job(self, app):
+        gate = threading.Event()
+        calls = []
+        real = app.jobs._compute
+
+        def gated(scenario):
+            calls.append(scenario.name)
+            assert gate.wait(10), "gate never opened"
+            return real(scenario)
+
+        app.jobs._compute = gated
+        digest = digest_of(app, "table1")
+        assert post_run(app, {"scenario": "table1"}).status == 202
+        wait_until(lambda: calls)
+        waited = []
+        waiter = threading.Thread(
+            target=lambda: waited.append(
+                post_run(app, {"scenario": "table1"}, path="/run?wait=1")
+            )
+        )
+        waiter.start()
+        wait_until(lambda: app.jobs.describe(digest)["coalesced"] >= 1)
+        gate.set()
+        waiter.join(30)
+        assert not waiter.is_alive(), "the waiting request hung"
+        (response,) = waited
+        assert response.status == 200
+        assert response.body["from_cache"] is False
+        assert calls == ["table1"]
+        assert app.store.stats.puts == 1
+        assert app.jobs.counters.coalesced >= 1
+        assert app.stats.computed == 1  # counted once, by the job
+        stored = app.handle("GET", f"/results/{digest}")
+        assert json.dumps(response.body["artifacts"]) == json.dumps(
+            stored.body["artifacts"]
+        )
+
+    def test_cold_wait_on_a_full_engine_is_a_429(self, tmp_path):
+        app = ServingApp(
+            ResultStore(tmp_path / "store"), job_workers=1, max_queue=1
+        )
+        compute = GatedCompute()
+        app.jobs._compute = compute
+        try:
+            assert post_run(app, {"scenario": "table1"}).status == 202
+            assert compute.started.wait(10)  # the only slot is taken
+            assert post_run(app, {"scenario": "fig7-gpu"}).status == 202
+            for payload in (
+                {"scenario": "fig3c-blade-spec"},
+                {"scenarios": ["fig3c-blade-spec"]},
+            ):
+                rejected = post_run(app, payload, path="/run?wait=1")
+                assert rejected.status == 429
+                assert rejected.body["error"] == "overloaded"
+                assert int(rejected.headers["Retry-After"]) >= 1
+            assert app.stats.rejected_jobs == 2
+        finally:
+            compute.release.set()
+            app.close()
+
+    def test_mixed_traffic_never_exceeds_the_compute_slots(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.scenarios.store as store_module
+
+        real = store_module.run_scenario
+        active = [0]
+        peak = [0]
+        lock = threading.Lock()
+
+        def monitored(scenario, **kwargs):
+            with lock:
+                active[0] += 1
+                peak[0] = max(peak[0], active[0])
+            try:
+                time.sleep(0.02)
+                return real(scenario, **kwargs)
+            finally:
+                with lock:
+                    active[0] -= 1
+
+        monkeypatch.setattr(store_module, "run_scenario", monitored)
+        app = ServingApp(ResultStore(tmp_path / "store"), job_workers=2)
+        base = get("table1").to_dict()
+        n_each = 4
+        barrier = threading.Barrier(2 * n_each)
+        responses = {}
+
+        def client(n, path):
+            barrier.wait()
+            spec = dict(base, name=f"mixed-{n}")
+            responses[n] = post_run(app, {"scenario": spec}, path=path)
+
+        threads = [
+            threading.Thread(
+                target=client,
+                args=(n, "/run?wait=1" if n < n_each else "/run"),
+            )
+            for n in range(2 * n_each)
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+                assert not thread.is_alive(), "a client hung"
+            assert [responses[n].status for n in range(2 * n_each)] == (
+                [200] * n_each + [202] * n_each
+            )
+            for n in range(n_each, 2 * n_each):
+                assert app.jobs.wait(responses[n].body["digest"], timeout=30)
+            assert 1 <= peak[0] <= app.jobs.n_workers
+            assert app.jobs.counters.done == 2 * n_each
+        finally:
+            app.close()
+
+    def test_shutdown_wakes_a_parked_waiter_with_a_503(self, tmp_path):
+        app = ServingApp(ResultStore(tmp_path / "store"), job_workers=1)
+        compute = GatedCompute()
+        app.jobs._compute = compute
+        waited = []
+        try:
+            assert post_run(app, {"scenario": "table1"}).status == 202
+            assert compute.started.wait(10)
+            waiter = threading.Thread(
+                target=lambda: waited.append(
+                    post_run(app, {"scenario": "fig7-gpu"}, path="/run?wait=1")
+                )
+            )
+            waiter.start()
+            wait_until(lambda: app.jobs.stats()["queued"] == 1)
+            threading.Thread(target=app.close).start()
+            waiter.join(5)
+            assert not waiter.is_alive(), "the waiter hung past close()"
+            (response,) = waited
+            assert response.status == 503
+            assert response.body["error"] == "shutting-down"
+        finally:
+            compute.release.set()
+            app.close()
 
 
 class TestAsyncBatch:

@@ -8,18 +8,21 @@ deterministically, without real scenario computes or sockets.
 
 from __future__ import annotations
 
+import gc
 import threading
+import weakref
 
 import pytest
 
 from repro.errors import ConfigError
 from repro.scenarios import get
-from repro.scenarios.store import ResultStore, stored_from_payload
+from repro.scenarios.store import stored_from_payload
 from repro.serving.jobs import (
     DONE,
     FAILED,
     QUEUED,
     RUNNING,
+    JobFailedError,
     JobManager,
     QueueFullError,
 )
@@ -50,18 +53,9 @@ class GatedCompute:
         return fake_result(scenario)
 
 
-@pytest.fixture
-def store(tmp_path):
-    return ResultStore(tmp_path / "store")
-
-
-def make_manager(store, compute, **kwargs):
-    return JobManager(store, compute=compute, **kwargs)
-
-
 class TestLifecycle:
-    def test_submit_runs_to_done(self, store):
-        manager = make_manager(store, fake_result)
+    def test_submit_runs_to_done(self):
+        manager = JobManager(fake_result)
         try:
             snapshot = manager.submit(SCENARIO, "a" * 64)
             assert snapshot["status"] in (QUEUED, RUNNING)
@@ -77,9 +71,9 @@ class TestLifecycle:
         finally:
             manager.shutdown()
 
-    def test_snapshot_reports_queue_position(self, store):
+    def test_snapshot_reports_queue_position(self):
         compute = GatedCompute()
-        manager = make_manager(store, compute, n_workers=1, max_queue=8)
+        manager = JobManager(compute, n_workers=1, max_queue=8)
         try:
             manager.submit(SCENARIO, "a" * 64)
             assert compute.started.wait(10)  # worker busy on job A
@@ -95,19 +89,19 @@ class TestLifecycle:
             compute.release.set()
             manager.shutdown()
 
-    def test_wait_on_unknown_digest_is_false(self, store):
-        manager = make_manager(store, fake_result)
+    def test_wait_on_unknown_digest_is_false(self):
+        manager = JobManager(fake_result)
         assert manager.wait("f" * 64, timeout=0.01) is False
 
-    def test_describe_unknown_digest_is_none(self, store):
-        manager = make_manager(store, fake_result)
+    def test_describe_unknown_digest_is_none(self):
+        manager = JobManager(fake_result)
         assert manager.describe("f" * 64) is None
 
 
 class TestCoalescing:
-    def test_duplicate_submissions_share_one_compute(self, store):
+    def test_duplicate_submissions_share_one_compute(self):
         compute = GatedCompute()
-        manager = make_manager(store, compute, n_workers=2)
+        manager = JobManager(compute, n_workers=2)
         try:
             first = manager.submit(SCENARIO, "a" * 64)
             assert first["coalesced_onto_existing"] is False
@@ -125,7 +119,7 @@ class TestCoalescing:
             compute.release.set()
             manager.shutdown()
 
-    def test_resubmission_after_failure_starts_fresh(self, store):
+    def test_resubmission_after_failure_starts_fresh(self):
         attempts = []
 
         def flaky(scenario):
@@ -134,7 +128,7 @@ class TestCoalescing:
                 raise ConfigError("first attempt fails")
             return fake_result(scenario)
 
-        manager = make_manager(store, flaky)
+        manager = JobManager(flaky)
         try:
             manager.submit(SCENARIO, "a" * 64)
             assert manager.wait("a" * 64, timeout=10)
@@ -149,10 +143,140 @@ class TestCoalescing:
             manager.shutdown()
 
 
-class TestQueueBounds:
-    def test_full_queue_rejects_with_retry_after(self, store):
+class TestRun:
+    """:meth:`JobManager.run`, the blocking (``?wait=1``) entry point."""
+
+    def test_free_slot_runs_on_the_calling_thread(self):
+        threads = []
+
+        def compute(scenario):
+            threads.append(threading.current_thread())
+            return fake_result(scenario)
+
+        manager = JobManager(compute)
+        try:
+            result = manager.run(SCENARIO, "a" * 64)
+            assert result.text == "fake"
+            assert threads == [threading.current_thread()]
+            assert manager._threads == []  # no worker was needed
+            assert manager.describe("a" * 64)["status"] == DONE
+            assert manager.counters.submitted == 1
+        finally:
+            manager.shutdown()
+
+    def test_result_is_handed_over_then_dropped(self):
+        produced = []
+
+        def compute(scenario):
+            produced.append(fake_result(scenario))
+            return produced[-1]
+
+        manager = JobManager(compute)
+        try:
+            result = manager.run(SCENARIO, "a" * 64)
+            assert result is produced.pop()  # no copy, no store read
+            alive = weakref.ref(result)
+            del result
+            gc.collect()
+            assert alive() is None  # the retained job does not keep it
+            assert manager.describe("a" * 64)["name"] == SCENARIO.name
+        finally:
+            manager.shutdown()
+
+    def test_joins_the_in_flight_job(self):
         compute = GatedCompute()
-        manager = make_manager(store, compute, n_workers=1, max_queue=2)
+        manager = JobManager(compute, n_workers=2)
+        results = []
+        try:
+            manager.submit(SCENARIO, "a" * 64)
+            assert compute.started.wait(10)
+            waiter = threading.Thread(
+                target=lambda: results.append(manager.run(SCENARIO, "a" * 64))
+            )
+            waiter.start()
+            while manager.describe("a" * 64)["coalesced"] < 1:
+                waiter.join(0.01)
+            compute.release.set()
+            waiter.join(10)
+            assert not waiter.is_alive(), "the joined waiter hung"
+            assert len(results) == 1 and results[0].text == "fake"
+            assert compute.calls == 1
+            assert manager.counters.coalesced == 1
+        finally:
+            compute.release.set()
+            manager.shutdown()
+
+    def test_failure_raises_the_structured_error(self):
+        def boom(scenario):
+            raise ConfigError("inline bug")
+
+        manager = JobManager(boom)
+        try:
+            with pytest.raises(JobFailedError) as err:
+                manager.run(SCENARIO, "a" * 64, origin="inline")
+            assert err.value.error == {
+                "error": "invalid-scenario",
+                "detail": "inline bug",
+            }
+        finally:
+            manager.shutdown()
+
+    def test_full_engine_rejects(self):
+        compute = GatedCompute()
+        manager = JobManager(compute, n_workers=1, max_queue=1)
+        try:
+            manager.submit(SCENARIO, "a" * 64)  # running
+            assert compute.started.wait(10)
+            manager.submit(SCENARIO, "b" * 64)  # queued 1/1
+            with pytest.raises(QueueFullError):
+                manager.run(SCENARIO, "c" * 64)
+            assert manager.counters.rejected == 1
+        finally:
+            compute.release.set()
+            manager.shutdown()
+
+    def test_shutdown_wakes_every_waiter(self):
+        compute = GatedCompute()
+        manager = JobManager(compute, n_workers=1)
+        errors = []
+
+        def wait_for(digest):
+            try:
+                manager.run(SCENARIO, digest)
+            except JobFailedError as exc:
+                errors.append(exc.error["error"])
+
+        try:
+            manager.submit(SCENARIO, "a" * 64)  # holds the only slot
+            assert compute.started.wait(10)
+            waiters = [
+                threading.Thread(target=wait_for, args=("b" * 64,))
+                for _ in range(2)  # one queues the job, one joins it
+            ]
+            for waiter in waiters:
+                waiter.start()
+            while manager.stats()["queued"] < 1 or (
+                manager.describe("b" * 64)["coalesced"] < 1
+            ):
+                waiters[0].join(0.01)
+            closer = threading.Thread(target=manager.shutdown)
+            closer.start()
+            for waiter in waiters:
+                waiter.join(5)
+                assert not waiter.is_alive(), "a waiter hung past shutdown"
+            assert errors == ["shutting-down", "shutting-down"]
+            assert manager.describe("b" * 64)["status"] == FAILED
+            with pytest.raises(JobFailedError):
+                manager.run(SCENARIO, "c" * 64)
+        finally:
+            compute.release.set()
+            manager.shutdown()
+
+
+class TestQueueBounds:
+    def test_full_queue_rejects_with_retry_after(self):
+        compute = GatedCompute()
+        manager = JobManager(compute, n_workers=1, max_queue=2)
         try:
             manager.submit(SCENARIO, "a" * 64)  # running
             assert compute.started.wait(10)
@@ -174,9 +298,9 @@ class TestQueueBounds:
             compute.release.set()
             manager.shutdown()
 
-    def test_submit_many_is_all_or_nothing(self, store):
+    def test_submit_many_is_all_or_nothing(self):
         compute = GatedCompute()
-        manager = make_manager(store, compute, n_workers=1, max_queue=2)
+        manager = JobManager(compute, n_workers=1, max_queue=2)
         try:
             manager.submit(SCENARIO, "a" * 64)
             assert compute.started.wait(10)
@@ -207,11 +331,11 @@ class TestQueueBounds:
 
 
 class TestFailureClassification:
-    def test_registry_config_error_is_compute_failed(self, store):
+    def test_registry_config_error_is_compute_failed(self):
         def boom(scenario):
             raise ConfigError("recipe bug in the registry spec")
 
-        manager = make_manager(store, boom)
+        manager = JobManager(boom)
         try:
             manager.submit(SCENARIO, "a" * 64, origin="registry")
             assert manager.wait("a" * 64, timeout=10)
@@ -222,11 +346,11 @@ class TestFailureClassification:
         finally:
             manager.shutdown()
 
-    def test_inline_config_error_is_invalid_scenario(self, store):
+    def test_inline_config_error_is_invalid_scenario(self):
         def boom(scenario):
             raise ConfigError("bad client spec")
 
-        manager = make_manager(store, boom)
+        manager = JobManager(boom)
         try:
             manager.submit(SCENARIO, "a" * 64, origin="inline")
             assert manager.wait("a" * 64, timeout=10)
@@ -237,11 +361,11 @@ class TestFailureClassification:
         finally:
             manager.shutdown()
 
-    def test_unexpected_exception_never_leaks_details(self, store):
+    def test_unexpected_exception_never_leaks_details(self):
         def boom(scenario):
             raise RuntimeError("secret internal state")
 
-        manager = make_manager(store, boom)
+        manager = JobManager(boom)
         try:
             manager.submit(SCENARIO, "a" * 64)
             assert manager.wait("a" * 64, timeout=10)
@@ -256,8 +380,8 @@ class TestFailureClassification:
 
 
 class TestRetentionAndStats:
-    def test_terminal_jobs_are_retained_then_evicted_fifo(self, store):
-        manager = make_manager(store, fake_result, retention=2)
+    def test_terminal_jobs_are_retained_then_evicted_fifo(self):
+        manager = JobManager(fake_result, retention=2)
         try:
             for prefix in "abcd":
                 digest = prefix * 64
@@ -271,8 +395,8 @@ class TestRetentionAndStats:
         finally:
             manager.shutdown()
 
-    def test_stats_block_shape(self, store):
-        manager = make_manager(store, fake_result, n_workers=3, max_queue=7)
+    def test_stats_block_shape(self):
+        manager = JobManager(fake_result, n_workers=3, max_queue=7)
         try:
             manager.submit(SCENARIO, "a" * 64)
             assert manager.wait("a" * 64, timeout=10)
@@ -288,9 +412,9 @@ class TestRetentionAndStats:
         finally:
             manager.shutdown()
 
-    def test_list_jobs_orders_live_before_terminal(self, store):
+    def test_list_jobs_orders_live_before_terminal(self):
         compute = GatedCompute()
-        manager = make_manager(store, compute, n_workers=1)
+        manager = JobManager(compute, n_workers=1)
         try:
             manager.submit(SCENARIO, "a" * 64)
             assert compute.started.wait(10)
@@ -303,18 +427,18 @@ class TestRetentionAndStats:
             compute.release.set()
             manager.shutdown()
 
-    def test_shutdown_is_idempotent_and_joins_workers(self, store):
-        manager = make_manager(store, fake_result)
+    def test_shutdown_is_idempotent_and_joins_workers(self):
+        manager = JobManager(fake_result)
         manager.submit(SCENARIO, "a" * 64)
         assert manager.wait("a" * 64, timeout=10)
         manager.shutdown()
         manager.shutdown()
         assert all(not t.is_alive() for t in manager._threads)
 
-    def test_knob_validation(self, store):
+    def test_knob_validation(self):
         with pytest.raises(ConfigError):
-            JobManager(store, n_workers=0)
+            JobManager(fake_result, n_workers=0)
         with pytest.raises(ConfigError):
-            JobManager(store, max_queue=0)
+            JobManager(fake_result, max_queue=0)
         with pytest.raises(ConfigError):
-            JobManager(store, retention=-1)
+            JobManager(fake_result, retention=-1)

@@ -10,11 +10,14 @@ repeat request carrying the returned ``ETag`` is answered ``304``, and
 from __future__ import annotations
 
 import json
+import time
 
 from repro.cli import main
 from repro.core.timing_cache import default_timing_cache
 from repro.parallel.mapper import default_mapping_cache
 from repro.scenarios import Scenario, get, scenario_digest
+
+from test_jobs import GatedCompute  # sibling test module
 
 CHEAP_TABLE = "fig3c-blade-spec"
 CHEAP_POINT = "fig7-gpu"
@@ -211,14 +214,27 @@ class TestBatchRun:
 
     def test_warm_batch_streams_past_a_held_compute_lock(self, live_server):
         """An all-warm batch is pure file reads; it must not queue behind
-        someone's cold compute."""
+        someone's cold compute, even with every compute slot taken."""
         live_server.post_json(
             "/run?wait=1", {"scenarios": [CHEAP_TABLE, "table1"]}
         )
-        with live_server.app._compute_lock:  # a cold compute in flight
+        jobs = live_server.app.jobs
+        compute = GatedCompute()
+        jobs._compute = compute
+        try:
+            for n in range(jobs.n_workers):  # one gated compute per slot
+                spec = dict(get(CHEAP_POINT).to_dict(), name=f"held-{n}")
+                held = live_server.post_json("/run", {"scenario": spec})
+                assert held.status == 202
+            deadline = time.monotonic() + 10
+            while compute.calls < jobs.n_workers:
+                assert time.monotonic() < deadline, "slots never filled"
+                time.sleep(0.01)
             reply = live_server.post_json(
                 "/run", {"scenarios": [CHEAP_TABLE, "table1"]}
             )
+        finally:
+            compute.release.set()
         assert reply.status == 200
         assert all(e["from_cache"] for e in reply.json()["entries"])
 

@@ -1,16 +1,14 @@
 """Regression tests for the serving-layer bugfix sweep.
 
-Four separately-shipped fixes, each pinned so it cannot quietly revert:
+Separately-shipped fixes, each pinned so it cannot quietly revert:
 
 1. ``/stats`` ``runs`` counts 304-revalidated runs too (the counter used
    to be bumped *after* the ``If-None-Match`` early return).
-2. ``POST /run`` batches digest every scenario exactly once (the app's
-   warmness probe and :func:`run_many` used to each hash every spec).
-3. ``uptime_s`` derives from the monotonic clock — a wall-clock step
+2. ``uptime_s`` derives from the monotonic clock — a wall-clock step
    (NTP, ``date -s``) can never make uptime jump or go negative.
-4. ``Content-Length`` parsing is strict ASCII digits — bare ``int()``
+3. ``Content-Length`` parsing is strict ASCII digits — bare ``int()``
    used to accept ``"+100"``, ``" 100 "`` and ``"1_0"``.
-5. A *mid-compute* ConfigError is no longer a blanket 400: a registry
+4. A *mid-compute* ConfigError is no longer a blanket 400: a registry
    (server-owned) spec failing is a 500/``compute-failed``; only a
    client-sent inline spec is blamed as 400/``invalid-scenario``.
 """
@@ -25,8 +23,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.scenarios import get
-from repro.scenarios.batch import run_many
-from repro.scenarios.store import ResultStore, scenario_digest
+from repro.scenarios.store import ResultStore
 from repro.serving.app import ServeStats, ServingApp
 
 
@@ -53,45 +50,6 @@ class TestStatsCount304Runs:
         assert revalidated.status == 304
         assert app.stats.runs == 2
         assert app.stats.not_modified == 1
-
-
-class TestBatchDigestsOnce:
-    def test_run_many_reuses_the_callers_digest_list(self, tmp_path, monkeypatch):
-        store = ResultStore(tmp_path / "store")
-        scenarios = [get("table1"), get("fig7-gpu")]
-        digests = [store.digest(scenario) for scenario in scenarios]
-        calls = []
-
-        def counting(scenario, schema):
-            calls.append(scenario.name)
-            return scenario_digest(scenario, schema)
-
-        monkeypatch.setattr("repro.scenarios.batch.scenario_digest", counting)
-        run_many(scenarios, store=store, digests=digests)
-        assert calls == []  # the caller's list was trusted, not re-hashed
-        run_many(scenarios, store=store)
-        assert len(calls) == len(scenarios)  # without it, hashed once each
-
-    def test_run_many_rejects_misaligned_digests(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        with pytest.raises(ConfigError, match="align"):
-            run_many(
-                [get("table1")], store=store, digests=["0" * 64, "1" * 64]
-            )
-
-    def test_batch_endpoint_never_rehashes_specs(self, app, monkeypatch):
-        def boom(scenario, schema):
-            raise AssertionError(
-                "run_many re-digested a spec the app already hashed"
-            )
-
-        monkeypatch.setattr("repro.scenarios.batch.scenario_digest", boom)
-        response = app.handle(
-            "POST",
-            "/run?wait=1",
-            json.dumps({"scenarios": ["table1", "table1"]}).encode(),
-        )
-        assert response.status == 200
 
 
 class TestMonotonicUptime:
@@ -175,7 +133,7 @@ class TestComputeErrorClassification:
         def boom(*args, **kwargs):
             raise ConfigError("mid-compute failure")
 
-        monkeypatch.setattr("repro.serving.app.run_many", boom)
+        monkeypatch.setattr("repro.serving.app.run_cached", boom)
         all_registry = app.handle(
             "POST",
             "/run?wait=1",
