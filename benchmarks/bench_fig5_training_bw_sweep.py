@@ -13,28 +13,29 @@ Paper claims asserted:
 
 from __future__ import annotations
 
-from repro.analysis.figures import fig5_training_bandwidth_sweep
+from repro import scenarios
 
 
 def test_fig5(run_once):
-    fig5 = run_once(fig5_training_bandwidth_sweep)
+    fig5 = run_once(scenarios.get("fig5").run)
+    bandwidths = fig5.axis("system.dram_bandwidth_tbps")
+    achieved = fig5.series("achieved_pflops_per_pu")
+    gemm_time = fig5.series("gemm_time_per_layer")
+    gemm_memory_bound = fig5.series("gemm_memory_bound_time")
 
     print()
     print(f"{'BW/SPU':>9s} {'PF/SPU':>8s} {'GEMM ms':>8s} {'mem ms':>7s} {'comp ms':>8s}")
     for bw, pf, total, mem, comp in zip(
-        fig5.bandwidths,
-        fig5.achieved_pflops_per_spu,
-        fig5.gemm_time_per_layer,
-        fig5.gemm_memory_bound_time,
-        fig5.gemm_compute_bound_time,
+        bandwidths,
+        achieved,
+        gemm_time,
+        gemm_memory_bound,
+        fig5.series("gemm_compute_bound_time"),
     ):
         print(
             f"{bw:7.1f}TB {pf:8.3f} {total * 1e3:8.3f} {mem * 1e3:7.3f} "
             f"{comp * 1e3:8.3f}"
         )
-
-    achieved = fig5.achieved_pflops_per_spu
-    bandwidths = fig5.bandwidths
 
     # Monotone growth with bandwidth.
     assert all(b >= a for a, b in zip(achieved, achieved[1:]))
@@ -50,14 +51,12 @@ def test_fig5(run_once):
     assert 1.3 <= achieved[-1] <= 2.1
 
     # Inset: memory-bound fraction of GEMM time collapses with bandwidth.
-    mem_frac = [
-        m / t for m, t in zip(fig5.gemm_memory_bound_time, fig5.gemm_time_per_layer)
-    ]
+    mem_frac = [m / t for m, t in zip(gemm_memory_bound, gemm_time)]
     assert mem_frac[0] > 0.9  # almost fully memory-bound at 0.5 TBps
     assert mem_frac[i16] < 0.15  # compute-bound-dominated at 16 TBps
     # The remaining memory-bound ops never fully vanish (softmax, LN, ...).
-    assert fig5.gemm_memory_bound_time[-1] > 0.0
+    assert gemm_memory_bound[-1] > 0.0
 
     # Inset absolute scale: ~1.5 ms/layer at 0.5 TBps, ~0.35 ms at 64 TBps.
-    assert 1.0e-3 <= fig5.gemm_time_per_layer[0] <= 2.2e-3
-    assert 0.25e-3 <= fig5.gemm_time_per_layer[-1] <= 0.5e-3
+    assert 1.0e-3 <= gemm_time[0] <= 2.2e-3
+    assert 0.25e-3 <= gemm_time[-1] <= 0.5e-3

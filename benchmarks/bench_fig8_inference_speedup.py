@@ -8,36 +8,45 @@ approaching the 64-GPU 5.12 TB capacity at B=128.
 
 from __future__ import annotations
 
-from repro.analysis.figures import fig8_inference_speedup
+from repro import scenarios
 
 
 def test_fig8(run_once):
-    fig8 = run_once(fig8_inference_speedup)
+    def run_both():
+        return scenarios.get("fig8-models").run(), scenarios.get("fig8-batch").run()
+
+    models_result, batch_result = run_once(run_both)
+    model_names = models_result.axis("workload.model")
+    model_speedups = models_result.series("speedup")
+    batch_speedups = batch_result.series("speedup")
+    kv = batch_result.series("kv_cache_bytes")
+    gpu_memory_capacity = (
+        scenarios.get("fig8-batch").ref_system.build().total_memory_capacity
+    )
 
     print()
-    for name, speedup in zip(fig8.model_names, fig8.model_speedups):
+    for name, speedup in zip(model_names, model_speedups):
         print(f"  {name:14s} {speedup:5.1f}x")
-    for b, s, kv in zip(fig8.batches, fig8.batch_speedups, fig8.kv_cache_bytes):
-        print(f"  B={b:4d}: {s:5.1f}x  KV {kv / 1e12:5.2f} TB")
+    for b, s, k in zip(batch_result.axis("workload.batch"), batch_speedups, kv):
+        print(f"  B={b:4d}: {s:5.1f}x  KV {k / 1e12:5.2f} TB")
 
-    by_name = dict(zip(fig8.model_names, fig8.model_speedups))
+    by_name = dict(zip(model_names, model_speedups))
 
     # Paper: "massive speed-up of 9x-11x depending on the LLM model".
-    assert all(8.0 <= s <= 14.0 for s in fig8.model_speedups), by_name
+    assert all(8.0 <= s <= 14.0 for s in model_speedups), by_name
     # "SCD performs best for Llama-70B among these models."
-    assert by_name["Llama-70B"] == max(fig8.model_speedups)
+    assert by_name["Llama-70B"] == max(model_speedups)
     # Llama-405B lands on the paper's 9.4x.
     assert 8.5 <= by_name["Llama-405B"] <= 10.5
 
     # (b) Speed-up is robust across batch sizes (stays in a tight band).
-    assert all(7.0 <= s <= 12.0 for s in fig8.batch_speedups)
-    assert max(fig8.batch_speedups) / min(fig8.batch_speedups) < 1.6
+    assert all(7.0 <= s <= 12.0 for s in batch_speedups)
+    assert max(batch_speedups) / min(batch_speedups) < 1.6
 
     # KV cache grows linearly with batch and approaches the 64-GPU capacity
     # (5.12 TB) at B=128 — the paper's GPU scaling ceiling.
-    kv = fig8.kv_cache_bytes
     assert all(b > a for a, b in zip(kv, kv[1:]))
-    ratio_128 = kv[-1] / fig8.gpu_memory_capacity
+    ratio_128 = kv[-1] / gpu_memory_capacity
     assert 0.75 <= ratio_128 <= 1.1, ratio_128
 
 

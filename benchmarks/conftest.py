@@ -5,9 +5,10 @@ asserts the paper's qualitative claims on the result, and reports the
 regenerated rows through ``--benchmark-only -s``.
 
 ``benchmarks/perf/`` holds the *performance-trajectory* benchmarks: fast,
-assertion-bearing speed checks that are wired into the default pytest run
-via :func:`pytest_collect_file` below (the slower per-figure benchmarks
-remain opt-in: ``pytest benchmarks/bench_<name>.py``).
+assertion-bearing speed checks.  :func:`pytest_collect_file` below wires
+every ``bench_*.py`` under ``benchmarks/`` — the paper-claim benchmarks and
+the perf benchmarks alike — into the default pytest run, so the paper's
+qualitative claims are checked on every run.
 """
 
 from __future__ import annotations
@@ -16,12 +17,8 @@ import pytest
 
 
 def pytest_collect_file(file_path, parent):
-    """Collect ``benchmarks/perf/bench_*.py`` in the default test run."""
-    if (
-        file_path.suffix == ".py"
-        and file_path.name.startswith("bench_")
-        and file_path.parent.name == "perf"
-    ):
+    """Collect every ``benchmarks/**/bench_*.py`` in the default test run."""
+    if file_path.suffix == ".py" and file_path.name.startswith("bench_"):
         return pytest.Module.from_parent(parent, path=file_path)
 
 

@@ -30,6 +30,9 @@ to its ``303`` redirect, asserted to compute each digest exactly once),
 and gates all six numbers against the committed ``BENCH_baseline.json``:
 a >2× regression of any fails the default pytest run.  All daemons run
 on the shared :func:`repro.serving.testing.launch_daemon` harness.
+The engine pass runs the registry's Fig. 5/7 scenario builders on the
+grids below.  ``src_loc`` (total lines of ``src/**/*.py``) is recorded
+ungated beside the timings so source shrinkage is tracked too.
 Collected in the default pytest run via ``benchmarks/conftest.py``.
 """
 
@@ -44,14 +47,20 @@ import pytest
 from repro.analysis.figures import (
     DEFAULT_SPU_BANDWIDTH,
     TRAINING_PARALLEL,
-    fig5_training_bandwidth_sweep,
-    fig7_inference,
     scd_system,
 )
 from repro.arch.gpu import build_gpu_system
 from repro.core.model import Optimus
 from repro.core.timing_cache import NullTimingCache, default_timing_cache
 from repro.parallel.mapper import map_inference, map_training
+from repro.scenarios.registry import (
+    fig5_scenario,
+    fig7_bandwidth_scenario,
+    fig7_batch_scenario,
+    fig7_gpu_scenario,
+    fig7_latency_scenario,
+)
+from repro.scenarios.runner import run_scenario
 from repro.units import NS, TBPS
 from repro.workloads.llm import GPT3_76B, LLAMA_405B
 
@@ -126,6 +135,15 @@ def _flat_fig7() -> dict[str, list[float]]:
     }
 
 
+def _src_loc() -> int:
+    """Total line count of ``src/**/*.py``, recorded (ungated) so source
+    shrinkage shows up in the trajectory next to the timings."""
+    return sum(
+        len(path.read_bytes().splitlines())
+        for path in (REPO_ROOT / "src").rglob("*.py")
+    )
+
+
 def _max_rel_err(a, b) -> float:
     return max(
         abs(x - y) / max(abs(y), 1e-300) for x, y in zip(a, b, strict=True)
@@ -138,12 +156,11 @@ def test_engine_speed_vs_seed_flat_timing():
     default_timing_cache().clear()
 
     t0 = time.perf_counter()
-    fig5 = fig5_training_bandwidth_sweep(bandwidths_tbps=FIG5_BANDWIDTHS)
-    fig7 = fig7_inference(
-        bandwidths_tbps=FIG7_BANDWIDTHS,
-        dram_latencies_ns=FIG7_LATENCIES_NS,
-        batches=FIG7_BATCHES,
-    )
+    fig5 = run_scenario(fig5_scenario(FIG5_BANDWIDTHS))
+    fig7_bandwidth = run_scenario(fig7_bandwidth_scenario(FIG7_BANDWIDTHS))
+    fig7_latency = run_scenario(fig7_latency_scenario(FIG7_LATENCIES_NS))
+    fig7_batch = run_scenario(fig7_batch_scenario(FIG7_BATCHES))
+    fig7_gpu = run_scenario(fig7_gpu_scenario())
     engine_seconds = time.perf_counter() - t0
     cache = default_timing_cache()
     cache_stats = {
@@ -160,18 +177,20 @@ def test_engine_speed_vs_seed_flat_timing():
     # Equivalence: the engine must reproduce the seed numbers exactly.
     errors = {
         "fig5.achieved_pflops_per_spu": _max_rel_err(
-            fig5.achieved_pflops_per_spu, flat5
+            fig5.series("achieved_pflops_per_pu"), flat5
         ),
-        "fig7.latencies": _max_rel_err(fig7.latencies, flat7["latencies"]),
+        "fig7.latencies": _max_rel_err(
+            fig7_bandwidth.series("latency"), flat7["latencies"]
+        ),
         "fig7.latency_sweep_pflops_per_spu": _max_rel_err(
-            fig7.latency_sweep_pflops_per_spu,
+            fig7_latency.series("achieved_pflops_per_pu"),
             flat7["latency_sweep_pflops_per_spu"],
         ),
         "fig7.batch_latencies": _max_rel_err(
-            fig7.batch_latencies, flat7["batch_latencies"]
+            fig7_batch.series("latency"), flat7["batch_latencies"]
         ),
         "fig7.gpu_latency": _max_rel_err(
-            [fig7.gpu_latency], flat7["gpu_latency"]
+            fig7_gpu.series("latency"), flat7["gpu_latency"]
         ),
     }
     max_rel_err = max(errors.values())
@@ -198,6 +217,7 @@ def test_engine_speed_vs_seed_flat_timing():
             "http_cold_concurrent_seconds"
         ],
         "serve_cold_jobs": N_COLD_JOBS,
+        "src_loc": _src_loc(),
         "note": (
             "flat_seed_seconds reproduces the pre-engine seed path "
             "(per-replica op walk, no memoization) in the same process; "

@@ -1,22 +1,12 @@
-"""Figure and table generators: one function per paper artifact.
+"""Table generators, the Sec. VI/VII memory studies and the sweep driver.
 
-Each generator returns a frozen dataclass holding the plotted series, so the
+Figs. 5–8 are registry scenarios (``repro.scenarios.get("fig5").run()``
+etc.); the generators here return frozen dataclasses or row tuples, so the
 benchmarks can assert the paper's qualitative claims against them and the
 examples can render them as text.
 """
 
-from repro.analysis.figures import (
-    Fig5Result,
-    Fig6Result,
-    Fig7Result,
-    Fig8Result,
-    L2StudyResult,
-    fig5_training_bandwidth_sweep,
-    fig6_training_models,
-    fig7_inference,
-    fig8_inference_speedup,
-    l2_kv_cache_study,
-)
+from repro.analysis.figures import L2StudyResult, l2_kv_cache_study
 from repro.analysis.sweep import SweepGrid, SweepPoint, SweepResult, run_sweep
 from repro.analysis.tables import (
     blade_spec_table,
@@ -32,15 +22,7 @@ __all__ = [
     "SweepPoint",
     "SweepResult",
     "run_sweep",
-    "Fig5Result",
-    "Fig6Result",
-    "Fig7Result",
-    "Fig8Result",
     "L2StudyResult",
-    "fig5_training_bandwidth_sweep",
-    "fig6_training_models",
-    "fig7_inference",
-    "fig8_inference_speedup",
     "l2_kv_cache_study",
     "table1_technology",
     "datalink_table",

@@ -1,6 +1,6 @@
 """Declarative parameter-grid sweeps with optional process fan-out.
 
-The figure generators, sensitivity analysis and design-space-exploration
+The figure scenarios, sensitivity analysis and design-space-exploration
 examples all reduce to the same shape: evaluate one point function over a
 parameter grid and collect structured results.  This module is the single
 batch driver behind them, replacing the hand-rolled per-figure loops:

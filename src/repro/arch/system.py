@@ -7,7 +7,7 @@ identical accelerators.
 
 Both are frozen dataclasses with ``with_*`` helpers so that parameter sweeps
 (DRAM bandwidth/latency, fabric bandwidth) are cheap, explicit and
-side-effect free — the idiom every figure generator uses.
+side-effect free — the idiom every figure sweep uses.
 """
 
 from __future__ import annotations

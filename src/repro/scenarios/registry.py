@@ -1,11 +1,12 @@
 """The scenario registry: every paper experiment as a named, rerunnable spec.
 
-Each ``*_scenario`` builder is parameterized exactly like the figure
-generator it backs (so :mod:`repro.analysis.figures` re-expresses the
-figures through it), and the registry holds the default-argument versions —
-the paper's exact setups — under stable names for the ``python -m repro``
-CLI.  Registering a scenario with :func:`register` makes it listable,
-showable and runnable by name.
+Each ``*_scenario`` builder takes the experiment's knobs as arguments
+(callers build reduced or non-default variants with it and run them via
+:func:`repro.scenarios.runner.run_scenario`), and the registry holds the
+default-argument versions — the paper's exact setups — under stable names
+for the ``python -m repro`` CLI, the daemon and the benchmarks.
+Registering a scenario with :func:`register` makes it listable, showable
+and runnable by name.
 """
 
 from __future__ import annotations

@@ -53,7 +53,7 @@ import socket
 import subprocess
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
@@ -623,7 +623,10 @@ class ResultStore:
             payload = result
         digest = self.digest(scenario)
         if provenance is None:
-            provenance = current_provenance(wall_time_s)
+            provenance = replace(
+                current_provenance(wall_time_s),
+                schema_version=self.schema_version,
+            )
         entry = {
             "format": STORE_FORMAT,
             "schema_version": self.schema_version,

@@ -126,16 +126,15 @@ class TestRunSweep:
 
 class TestFigureSweepIntegration:
     def test_fig5_with_workers_matches_serial(self):
-        from repro.analysis.figures import fig5_training_bandwidth_sweep
+        from repro.scenarios.registry import fig5_scenario
 
-        serial = fig5_training_bandwidth_sweep(bandwidths_tbps=(1, 16))
-        fanned = fig5_training_bandwidth_sweep(bandwidths_tbps=(1, 16), workers=2)
-        assert fanned.achieved_pflops_per_spu == pytest.approx(
-            serial.achieved_pflops_per_spu, rel=1e-12
-        )
-        assert fanned.gemm_time_per_layer == pytest.approx(
-            serial.gemm_time_per_layer, rel=1e-12
-        )
+        scenario = fig5_scenario((1, 16))
+        serial = scenario.run()
+        fanned = scenario.run(workers=2)
+        for name in ("achieved_pflops_per_pu", "gemm_time_per_layer"):
+            assert fanned.series(name) == pytest.approx(
+                serial.series(name), rel=1e-12
+            )
 
 
 class TestCsvPersistence:

@@ -11,6 +11,7 @@ import pytest
 from repro.arch.config import SystemConfig
 from repro.scenarios import Scenario
 from repro.scenarios.store import (
+    SCHEMA_VERSION,
     Provenance,
     ResultStore,
     current_provenance,
@@ -199,21 +200,25 @@ class TestSharding:
 
 class TestProvenance:
     def test_put_stamps_provenance(self, tmp_path):
-        store = ResultStore(tmp_path)
-        scenario = tiny_scenario()
-        before = time.time()
-        stored = store.put(scenario, payload(), wall_time_s=1.25)
-        assert stored.provenance is not None
-        assert stored.provenance.schema_version == store.schema_version
-        assert stored.provenance.wall_time_s == 1.25
-        assert stored.provenance.host
-        assert before <= stored.provenance.created_unix <= time.time()
+        # The stamp carries the store's schema, not the module default.
+        for schema_version in (SCHEMA_VERSION, SCHEMA_VERSION + 1):
+            store = ResultStore(
+                tmp_path / str(schema_version), schema_version=schema_version
+            )
+            scenario = tiny_scenario()
+            before = time.time()
+            stored = store.put(scenario, payload(), wall_time_s=1.25)
+            assert stored.provenance is not None
+            assert stored.provenance.schema_version == schema_version
+            assert stored.provenance.wall_time_s == 1.25
+            assert stored.provenance.host
+            assert before <= stored.provenance.created_unix <= time.time()
 
-        warm = store.get(scenario)
-        assert warm.provenance == stored.provenance
-        (entry,) = store.entries()
-        assert entry.provenance == stored.provenance
-        assert entry.created_unix == stored.provenance.created_unix
+            warm = store.get(scenario)
+            assert warm.provenance == stored.provenance
+            (entry,) = store.entries()
+            assert entry.provenance == stored.provenance
+            assert entry.created_unix == stored.provenance.created_unix
 
     def test_run_cached_records_wall_time(self, tmp_path):
         store = ResultStore(tmp_path)
