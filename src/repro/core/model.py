@@ -9,9 +9,12 @@
   growing per step), reported with the Fig. 7/8 latency and throughput
   metrics.
 
-Decode steps are timed exactly at ``decode_samples`` quantile context
-lengths and integrated — kernel times are piecewise-linear in context length,
-so a modest sample count reproduces the exact sum to float precision.
+Decode steps are timed exactly at ``decode_samples`` quantile context lengths
+and integrated — kernel times are piecewise-linear in context length, so a
+modest sample count reproduces the exact sum to float precision.  Only the
+attention score/softmax/context kernels depend on the context: the rest of
+the decode step (embedding, projections, MLP, collectives, LM head) is timed
+once per evaluation and added to each sample's attention timing.
 
 Timing is driven by run-length-encoded op programs
 (:class:`~repro.workloads.operators.OpProgram`): each unique segment is
@@ -48,6 +51,21 @@ class _OpListTiming:
     gemm_memory_bound_time: float
     gemm_compute_bound_time: float
     flops: float
+
+    def __add__(self, other: "_OpListTiming") -> "_OpListTiming":
+        """Field-wise sum: the timing of two op lists run back to back."""
+        return _OpListTiming(
+            total=self.total + other.total,
+            compute_kernel_time=self.compute_kernel_time + other.compute_kernel_time,
+            comm_exposed_time=self.comm_exposed_time + other.comm_exposed_time,
+            memory_bound_time=self.memory_bound_time + other.memory_bound_time,
+            compute_bound_time=self.compute_bound_time + other.compute_bound_time,
+            gemm_memory_bound_time=self.gemm_memory_bound_time
+            + other.gemm_memory_bound_time,
+            gemm_compute_bound_time=self.gemm_compute_bound_time
+            + other.gemm_compute_bound_time,
+            flops=self.flops + other.flops,
+        )
 
 
 class _TimingAccumulator:
@@ -253,10 +271,8 @@ class Optimus:
         n_steps = mapped.n_decode_steps
         k = min(self.decode_samples, n_steps)
         sample_idx = sorted({round(i * (n_steps - 1) / max(1, k - 1)) for i in range(k)})
-        samples = {
-            idx: self._time_decode_step(mapped, mapped.decode_context_at(idx))
-            for idx in sample_idx
-        }
+        contexts = [mapped.decode_context_at(idx) for idx in sample_idx]
+        samples = dict(zip(sample_idx, self._time_decode_steps(mapped, contexts)))
 
         # Piecewise-linear integration between sampled steps.
         decode_time = 0.0
@@ -308,12 +324,18 @@ class Optimus:
             compute_bound_kernel_time=prefill.compute_bound_time + decode_comp_bound,
         )
 
-    def _time_decode_step(
-        self, mapped: MappedInference, context: int
-    ) -> _OpListTiming:
-        if self.use_programs:
-            return self.time_program(mapped.decode_program_at(context))
-        return self.time_ops(mapped.decode_ops_at(context))
+    def _time_decode_steps(
+        self, mapped: MappedInference, contexts: list[int]
+    ) -> list[_OpListTiming]:
+        """Decode-step timings at ``contexts``: the context-invariant
+        program once, plus the attention kernels per context."""
+        if not self.use_programs:
+            return [self.time_ops(mapped.decode_ops_at(c)) for c in contexts]
+        invariant = self.time_program(mapped.decode_invariant_program)
+        return [
+            invariant + self.time_program(mapped.decode_attention_at(c))
+            for c in contexts
+        ]
 
 
 __all__ = ["Optimus"]

@@ -43,8 +43,8 @@ def require_positive(name: str, value: float) -> float:
 
 
 def require_non_negative(name: str, value: float) -> float:
-    """Validate that ``value`` is >= 0 and return it."""
-    if value is None or value < 0:
+    """Validate that ``value`` is >= 0 (and not NaN) and return it."""
+    if value is None or not value >= 0:
         raise ConfigError(f"{name} must be >= 0, got {value!r}")
     return value
 

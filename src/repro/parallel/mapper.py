@@ -9,12 +9,15 @@ per-device kernel lists the Optimus evaluator times:
   (tensor-parallel collectives embedded), stage-boundary point-to-point
   sizes, the data-parallel gradient all-reduce, and the optimizer step;
 * **inference** — prefill op list plus a decode-step op-list builder
-  parameterized by context length (the KV cache grows as tokens generate).
+  parameterized by context length (the KV cache grows as tokens generate),
+  and the same step split into its context-invariant kernels and the
+  attention kernels that follow the context.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import threading
 from dataclasses import dataclass, field
 from typing import Callable
@@ -36,8 +39,10 @@ from repro.workloads.operators import (
 )
 from repro.workloads.transformer import (
     LayerShape,
+    attention_kv_ops,
     backward_ops,
     embedding_ops,
+    kv_invariant_layer_ops,
     layer_forward_ops,
     lm_head_ops,
 )
@@ -144,6 +149,12 @@ class MappedInference:
     Prefill and decode-step kernel streams are run-length-encoded
     :class:`~repro.workloads.operators.OpProgram` objects; ``prefill_ops``
     and ``decode_ops_at`` flatten them back to the seed representation.
+
+    The decode step at context ``c`` also comes split in two:
+    ``decode_invariant_program`` holds every kernel the KV cache does not
+    change (built once per mapping), ``decode_attention_at(c)`` the
+    score/softmax/context kernels.  Together they are a permutation of
+    ``decode_program_at(c)``'s flattened ops.
     """
 
     model: LLMConfig
@@ -155,6 +166,8 @@ class MappedInference:
     precision_bytes: float
     prefill_program: OpProgram
     decode_program_at: Callable[[int], OpProgram] = field(repr=False)
+    decode_invariant_program: OpProgram = field(repr=False)
+    decode_attention_at: Callable[[int], OpProgram] = field(repr=False)
 
     @property
     def prefill_ops(self) -> tuple[Op, ...]:
@@ -337,6 +350,19 @@ def map_inference(
     weight_resident = model.n_params * precision_bytes
     kv_resident = model.kv_cache_bytes(batch, bytes_per_element=precision_bytes)
 
+    def attached(ops: list[Op]) -> tuple[Op, ...]:
+        return tuple(_attach_residency(ops, weight_resident, kv_resident))
+
+    def phase_program(layer_ops: list[Op], n_tokens: int, phase: Phase) -> OpProgram:
+        """Embedding + RLE layer span + LM head, with residency attached."""
+        return OpProgram(
+            (
+                Segment(attached(embedding_ops(model, n_tokens, precision_bytes, phase))),
+                Segment(attached(layer_ops), repeat=model.n_layers),
+                Segment(attached(lm_head_ops(model, batch, tp, precision_bytes, phase))),
+            )
+        )
+
     prefill_shape = LayerShape(
         n_tokens=batch * input_tokens,
         batch_seqs=batch,
@@ -344,45 +370,42 @@ def map_inference(
         tp=tp,
         bytes_per_element=precision_bytes,
     )
-
-    def phase_program(shape: LayerShape, n_tokens: int, phase: Phase) -> OpProgram:
-        """Embedding + RLE layer span + LM head, with residency attached."""
-        emb = _attach_residency(
-            embedding_ops(model, n_tokens, precision_bytes, phase),
-            weight_resident,
-            kv_resident,
-        )
-        layer = _attach_residency(
-            layer_forward_ops(model, shape, phase),
-            weight_resident,
-            kv_resident,
-        )
-        head = _attach_residency(
-            lm_head_ops(model, batch, tp, precision_bytes, phase),
-            weight_resident,
-            kv_resident,
-        )
-        return OpProgram(
-            (
-                Segment(tuple(emb)),
-                Segment(tuple(layer), repeat=model.n_layers),
-                Segment(tuple(head)),
-            )
-        )
-
     prefill_program = phase_program(
-        prefill_shape, prefill_shape.n_tokens, Phase.PREFILL
+        layer_forward_ops(model, prefill_shape, Phase.PREFILL),
+        prefill_shape.n_tokens,
+        Phase.PREFILL,
     )
 
-    def decode_program_at(context: int) -> OpProgram:
-        shape = LayerShape(
+    def decode_shape(context: int) -> LayerShape:
+        return LayerShape(
             n_tokens=batch,
             batch_seqs=batch,
             kv_len=max(1, context),
             tp=tp,
             bytes_per_element=precision_bytes,
         )
-        return phase_program(shape, batch, Phase.DECODE)
+
+    def decode_program_at(context: int) -> OpProgram:
+        return phase_program(
+            layer_forward_ops(model, decode_shape(context), Phase.DECODE),
+            batch,
+            Phase.DECODE,
+        )
+
+    # The same decode step split by what the KV cache changes: everything
+    # but the score/softmax/context kernels is built once per mapping, and
+    # those per context, memoized so sweep points sharing this mapping
+    # (through MappingCache) reuse the decode samples' kernels.
+    decode_invariant_program = phase_program(
+        kv_invariant_layer_ops(model, decode_shape(1), Phase.DECODE),
+        batch,
+        Phase.DECODE,
+    )
+
+    @functools.lru_cache(maxsize=16)
+    def decode_attention_at(context: int) -> OpProgram:
+        kv_ops = attention_kv_ops(model, decode_shape(context), Phase.DECODE)
+        return OpProgram((Segment(attached(kv_ops), repeat=model.n_layers),))
 
     return MappedInference(
         model=model,
@@ -394,6 +417,8 @@ def map_inference(
         precision_bytes=precision_bytes,
         prefill_program=prefill_program,
         decode_program_at=decode_program_at,
+        decode_invariant_program=decode_invariant_program,
+        decode_attention_at=decode_attention_at,
     )
 
 

@@ -89,17 +89,56 @@ class LayerShape:
         return self.n_tokens // self.batch_seqs
 
 
-def _attention_ops(
-    cfg: LLMConfig, shape: LayerShape, phase: Phase
+def attention_kv_ops(
+    cfg: LLMConfig, shape: LayerShape, phase: Phase = Phase.FORWARD
 ) -> list[Op]:
-    """Attention block kernels for one layer (per device)."""
+    """The attention kernels that read ``shape.kv_len`` (per device).
+
+    Score GEMM, softmax and context GEMM are the only kernels of a layer
+    whose size follows the key/value context, so they are the only ones a
+    growing KV cache changes from one decode step to the next.
+    """
     if cfg.n_heads % shape.tp:
         raise ConfigError(
             f"{cfg.name}: {cfg.n_heads} heads not divisible by tp={shape.tp}"
         )
     b = shape.bytes_per_element
-    heads_local = cfg.n_heads // shape.tp
+    heads = shape.batch_seqs * (cfg.n_heads // shape.tp)
     d = cfg.head_dim
+    return [
+        # Score GEMM: one (seq_q × kv_len) product per local head per sequence.
+        gemm(
+            "attn_score",
+            shape.seq_q,
+            shape.kv_len,
+            d,
+            b,
+            batch=heads,
+            phase=phase,
+            kind=KernelKind.ATTN_SCORE,
+            weight_operand=False,
+        ),
+        softmax("attn_softmax", heads * shape.seq_q * shape.kv_len, b, phase),
+        # Context GEMM: probabilities × V.
+        gemm(
+            "attn_context",
+            shape.seq_q,
+            d,
+            shape.kv_len,
+            b,
+            batch=heads,
+            phase=phase,
+            kind=KernelKind.ATTN_CONTEXT,
+            weight_operand=False,
+        ),
+    ]
+
+
+def _attention_ops(
+    cfg: LLMConfig, shape: LayerShape, phase: Phase
+) -> list[Op]:
+    """Attention block kernels for one layer (per device)."""
+    b = shape.bytes_per_element
     m = shape.n_tokens
     ops: list[Op] = []
 
@@ -107,42 +146,7 @@ def _attention_ops(
     # Column-parallel fused QKV projection.
     qkv_cols = (cfg.hidden + 2 * cfg.kv_dim) // shape.tp
     ops.append(gemm("qkv_proj", m, qkv_cols, cfg.hidden, b, phase=phase))
-    # Score GEMM: one (seq_q × kv_len) product per local head per sequence.
-    ops.append(
-        gemm(
-            "attn_score",
-            shape.seq_q,
-            shape.kv_len,
-            d,
-            b,
-            batch=shape.batch_seqs * heads_local,
-            phase=phase,
-            kind=KernelKind.ATTN_SCORE,
-            weight_operand=False,
-        )
-    )
-    ops.append(
-        softmax(
-            "attn_softmax",
-            shape.batch_seqs * heads_local * shape.seq_q * shape.kv_len,
-            b,
-            phase,
-        )
-    )
-    # Context GEMM: probabilities × V.
-    ops.append(
-        gemm(
-            "attn_context",
-            shape.seq_q,
-            d,
-            shape.kv_len,
-            b,
-            batch=shape.batch_seqs * heads_local,
-            phase=phase,
-            kind=KernelKind.ATTN_CONTEXT,
-            weight_operand=False,
-        )
-    )
+    ops.extend(attention_kv_ops(cfg, shape, phase))
     # Row-parallel output projection, then the Megatron all-reduce.
     ops.append(gemm("attn_out_proj", m, cfg.hidden, cfg.hidden // shape.tp, b, phase=phase))
     if shape.tp > 1:
@@ -284,6 +288,15 @@ def layer_forward_ops(cfg: LLMConfig, shape: LayerShape, phase: Phase = Phase.FO
     return ops
 
 
+def kv_invariant_layer_ops(
+    cfg: LLMConfig, shape: LayerShape, phase: Phase = Phase.FORWARD
+) -> list[Op]:
+    """:func:`layer_forward_ops` without :func:`attention_kv_ops`: the
+    layer's kernels that do not depend on ``shape.kv_len``, in layer order."""
+    kv_ops = attention_kv_ops(cfg, shape, phase)
+    return [op for op in layer_forward_ops(cfg, shape, phase) if op not in kv_ops]
+
+
 def backward_ops(forward: list[Op]) -> list[Op]:
     """Derive backward-pass kernels from a forward kernel list.
 
@@ -376,6 +389,8 @@ def total_compute_flops(ops: list[Op]) -> float:
 
 __all__ = [
     "LayerShape",
+    "attention_kv_ops",
+    "kv_invariant_layer_ops",
     "layer_forward_ops",
     "backward_ops",
     "embedding_ops",

@@ -7,7 +7,11 @@ precision, for training stages, decode steps and whole evaluations.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.model import Optimus
 from repro.core.roofline import time_compute_kernel
@@ -19,7 +23,7 @@ from repro.core.timing_cache import (
 from repro.parallel.mapper import map_inference, map_training
 from repro.parallel.strategy import ParallelConfig
 from repro.units import TBPS
-from repro.workloads.llm import GPT3_76B, LLAMA_405B
+from repro.workloads.llm import GPT3_76B, LLAMA_405B, MODEL_ZOO
 from repro.workloads.operators import OpProgram, Segment, gemm
 
 PAPER = ParallelConfig(tensor_parallel=8, pipeline_parallel=8, data_parallel=1)
@@ -114,6 +118,35 @@ class TestProgramEquivalence:
             assert program.n_ops == len(program.flatten())
             layer_segment = next(s for s in program.segments if s.repeat > 1)
             assert layer_segment.repeat == n_layers
+
+
+class TestDecodeSplit:
+    """The invariant program plus the attention program is the decode step."""
+
+    @given(
+        model=st.sampled_from(sorted(MODEL_ZOO)),
+        batch=st.integers(min_value=1, max_value=64),
+        tp=st.sampled_from([1, 2, 4, 8]),
+        context=st.integers(min_value=1, max_value=16384),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_split_is_the_decode_step(self, scd_system_16tbps, model, batch, tp, context):
+        system = scd_system_16tbps.with_n(tp)
+        mapped = map_inference(MODEL_ZOO[model], system, batch=batch)
+        invariant = mapped.decode_invariant_program
+        attention = mapped.decode_attention_at(context)
+
+        # No kernel dropped or counted twice.
+        split_ops = invariant.flatten() + attention.flatten()
+        assert Counter(split_ops) == Counter(mapped.decode_ops_at(context))
+
+        optimus = Optimus(system, cache=KernelTimingCache())
+        split = timing_fields(
+            optimus.time_program(invariant) + optimus.time_program(attention)
+        )
+        whole = timing_fields(optimus.time_program(mapped.decode_program_at(context)))
+        for name, value in whole.items():
+            assert split[name] == pytest.approx(value, rel=REL, abs=0.0), name
 
 
 class TestOpProgram:
@@ -215,12 +248,15 @@ class TestKernelTimingCache:
         assert Optimus(scd_system_16tbps).cache is shared
 
     def test_evaluation_populates_cache_across_calls(self, scd_system_16tbps):
-        """Decode sampling and repeated evaluations reuse kernel timings."""
+        """One evaluation times every kernel once; a repeat is all hits."""
         cache = KernelTimingCache()
         optimus = Optimus(scd_system_16tbps, cache=cache)
         mapped = map_inference(LLAMA_405B, scd_system_16tbps, batch=8)
         optimus.evaluate_inference(mapped)
-        assert cache.hits > 0  # embedding/head kernels repeat across samples
+        # The context-invariant decode kernels are timed once, not once per
+        # decode sample, so a cold evaluation never looks a kernel up twice.
+        assert cache.hits == 0
+        assert cache.misses > 0
         hits_before, misses_before = cache.hits, cache.misses
         optimus.evaluate_inference(mapped)
         assert cache.misses == misses_before  # second run fully cached

@@ -1,15 +1,112 @@
-"""1F1B pipeline-schedule tests: simulator vs closed form, bubble laws."""
+"""1F1B pipeline-schedule tests: simulator vs closed form, bubble laws, and
+the one-pass evaluation vs an event-driven oracle."""
 
 from __future__ import annotations
+
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import MappingError
+from repro.errors import ConfigError, MappingError
 from repro.parallel.pipeline import PipelineTiming, analytic_1f1b, simulate_1f1b
 
 times = st.floats(min_value=1e-5, max_value=1e-2)
+
+
+def _event_driven_1f1b(stage_fwd_times, stage_bwd_times, m, p2p_time):
+    """Reference 1F1B evaluation: poll every stage until its next node's
+    dependencies have resolved.  Returns ``(total, bubble, busy)``."""
+    p = len(stage_fwd_times)
+    sequences: list[list[tuple[str, int]]] = []
+    for s in range(p):
+        warmup = min(m, p - s)
+        seq: list[tuple[str, int]] = [("F", j) for j in range(warmup)]
+        next_fwd = warmup
+        for j in range(m):
+            seq.append(("B", j))
+            if next_fwd < m:
+                seq.append(("F", next_fwd))
+                next_fwd += 1
+        sequences.append(seq)
+
+    fwd_end: list[list[float | None]] = [[None] * m for _ in range(p)]
+    bwd_end: list[list[float | None]] = [[None] * m for _ in range(p)]
+    stage_time = [0.0] * p
+    pointer = [0] * p
+    remaining = sum(len(seq) for seq in sequences)
+
+    while remaining:
+        progressed = False
+        for s in range(p):
+            while pointer[s] < len(sequences[s]):
+                kind, j = sequences[s][pointer[s]]
+                if kind == "F":
+                    if s == 0:
+                        ready = 0.0
+                    else:
+                        upstream = fwd_end[s - 1][j]
+                        if upstream is None:
+                            break
+                        ready = upstream + p2p_time
+                    start = max(stage_time[s], ready)
+                    fwd_end[s][j] = start + stage_fwd_times[s]
+                    stage_time[s] = fwd_end[s][j]
+                else:
+                    own_fwd = fwd_end[s][j]
+                    if own_fwd is None:
+                        break
+                    if s == p - 1:
+                        ready = own_fwd
+                    else:
+                        downstream = bwd_end[s + 1][j]
+                        if downstream is None:
+                            break
+                        ready = max(own_fwd, downstream + p2p_time)
+                    start = max(stage_time[s], ready)
+                    bwd_end[s][j] = start + stage_bwd_times[s]
+                    stage_time[s] = bwd_end[s][j]
+                pointer[s] += 1
+                remaining -= 1
+                progressed = True
+        if not progressed:
+            raise AssertionError("1F1B schedule deadlocked")
+
+    total = max(stage_time)
+    busy = tuple(m * (stage_fwd_times[s] + stage_bwd_times[s]) for s in range(p))
+    return total, max(0.0, total - max(busy)), busy
+
+
+class TestAgainstEventDrivenOracle:
+    @given(
+        st.integers(min_value=1, max_value=16).flatmap(
+            lambda p: st.tuples(
+                st.lists(times, min_size=p, max_size=p),
+                st.lists(times, min_size=p, max_size=p),
+            )
+        ),
+        st.integers(min_value=1, max_value=300),
+        st.floats(min_value=0.0, max_value=1e-3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_oracle_exactly(self, stage_times, m, p2p):
+        fwd, bwd = stage_times
+        result = simulate_1f1b(fwd, bwd, m, p2p_time=p2p)
+        total, bubble, busy = _event_driven_1f1b(fwd, bwd, m, p2p)
+        assert result.total_time == total
+        assert result.bubble_time == bubble
+        assert result.stage_busy_times == busy
+
+    @pytest.mark.parametrize("p, m", [(8, 2), (16, 1), (4, 4), (16, 300)])
+    def test_fixed_shapes_equal_oracle(self, p, m):
+        """Including m <= p, where warm-up is cut short."""
+        fwd = [1e-3 * (1 + s % 3) for s in range(p)]
+        bwd = [2.5e-3 * (1 + s % 2) for s in range(p)]
+        result = simulate_1f1b(fwd, bwd, m, p2p_time=3e-5)
+        total, bubble, busy = _event_driven_1f1b(fwd, bwd, m, 3e-5)
+        assert (result.total_time, result.bubble_time) == (total, bubble)
+        assert result.stage_busy_times == busy
 
 
 class TestAgainstClosedForm:
@@ -80,6 +177,28 @@ class TestValidation:
     def test_mismatched_lists_rejected(self):
         with pytest.raises(MappingError):
             simulate_1f1b([1e-3], [1e-3, 2e-3], 4)
+
+    def test_nan_stage_time_rejected(self):
+        with pytest.raises(ConfigError):
+            simulate_1f1b([math.nan, 1.0], [1.0, 1.0], 4)
+
+    def test_negative_stage_time_rejected(self):
+        with pytest.raises(ConfigError):
+            simulate_1f1b([-1.0, 1.0], [1.0, 1.0], 4)
+        with pytest.raises(ConfigError):
+            simulate_1f1b([1.0, 1.0], [1.0, -1.0], 4)
+
+    def test_nan_p2p_time_rejected(self):
+        with pytest.raises(ConfigError):
+            simulate_1f1b([1.0, 1.0], [1.0, 1.0], 4, p2p_time=math.nan)
+
+    def test_analytic_rejects_negative_times(self):
+        with pytest.raises(ConfigError):
+            analytic_1f1b(1, 1, 4, 4, -5)
+        with pytest.raises(ConfigError):
+            analytic_1f1b(-1, 1, 4, 4)
+        with pytest.raises(ConfigError):
+            analytic_1f1b(1, math.nan, 4, 4)
 
     def test_timing_dataclass(self):
         result = simulate_1f1b([1e-3] * 2, [2e-3] * 2, 4)

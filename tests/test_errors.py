@@ -42,6 +42,10 @@ class TestRequire:
         with pytest.raises(errors.ConfigError):
             errors.require_non_negative("x", -0.1)
 
+    def test_require_non_negative_rejects_nan(self):
+        with pytest.raises(errors.ConfigError):
+            errors.require_non_negative("x", float("nan"))
+
     @pytest.mark.parametrize("value", [0.0, 0.5, 1.0])
     def test_require_fraction_accepts(self, value):
         assert errors.require_fraction("f", value) == value
